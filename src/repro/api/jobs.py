@@ -47,6 +47,9 @@ class Job:
         self.submitted_at = time.time()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
+        # to_dict() as of submission: what a 202 reply reports, even when
+        # a fast job has finished before the reply is built.
+        self.accepted: dict = self.to_dict()
         self._done = threading.Event()
 
     def to_dict(self) -> dict:

@@ -550,7 +550,7 @@ class SintelAPI:
                 "'detect_batch' or 'benchmark'"
             )
         job = self.jobs.submit(task, runner)
-        return Response(202, job.to_dict())
+        return Response(202, job.accepted)
 
     @staticmethod
     def _make_detect_job(body) -> Callable:

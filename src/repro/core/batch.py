@@ -55,20 +55,26 @@ def shape_groups(values: Sequence[np.ndarray],
 def batched_ewma(errors: np.ndarray, smoothing_window: int) -> np.ndarray:
     """Exponentially-weighted moving average over axis 1 of ``(N, T)``.
 
-    One time-step loop with vector arithmetic across the batch: each
-    signal's recursion performs exactly the same scalar operations as
-    :func:`repro.primitives.postprocessing.errors.smooth_errors`, so the
-    result is bitwise-identical per row.
+    The recursion ``s[i] = alpha * e[i] + (1 - alpha) * s[i - 1]`` is
+    inherently sequential; it runs per row on Python floats, which are
+    IEEE doubles doing the same two multiplies and one add per step as
+    NumPy float64 scalars — bitwise-identical, and several times faster
+    than stepping NumPy arrays through time.
     """
     errors = np.asarray(errors, dtype=float)
     if smoothing_window <= 1 or errors.shape[1] == 0:
         return errors.copy()
     alpha = 2.0 / (smoothing_window + 1.0)
-    smoothed = np.empty_like(errors)
-    smoothed[:, 0] = errors[:, 0]
-    for i in range(1, errors.shape[1]):
-        smoothed[:, i] = alpha * errors[:, i] + (1.0 - alpha) * smoothed[:, i - 1]
-    return smoothed
+    keep = 1.0 - alpha
+    rows = []
+    for values in errors.tolist():
+        level = values[0]
+        row = [level]
+        for value in values[1:]:
+            level = alpha * value + keep * level
+            row.append(level)
+        rows.append(row)
+    return np.array(rows, dtype=float)
 
 
 def find_sequences_mask(above: np.ndarray) -> List[Tuple[int, int]]:

@@ -364,22 +364,29 @@ class FleetStreamRunner:
     # ------------------------------------------------------------------ #
     # refit support (driven by StreamScheduler)
     # ------------------------------------------------------------------ #
-    def regroup(self, lane: FleetLane, base: Pipeline) -> None:
+    def regroup(self, lane: FleetLane, base: Pipeline) -> bool:
         """Rebind ``lane`` to the group serving ``base`` (post-refit).
 
         A refitted lane leaves its shared group — its new fitted state is
         its own — and lands in the group keyed by the new pipeline
         (usually a fresh singleton). Empty groups are dropped.
+
+        Returns ``True`` when this call dropped the lane's previous group,
+        i.e. its pipeline no longer serves any lane; decided under the
+        fleet lock, so of concurrent refits leaving one group exactly one
+        sees ``True``.
         """
         with self._lock:
             old = lane.group
             if lane in old.lanes:
                 old.lanes.remove(lane)
-            if not old.lanes:
+            retired = not old.lanes
+            if retired:
                 self._groups.pop(id(old.base), None)
             group = self._group_for(base)
             group.lanes.append(lane)
             lane.rebind(group)
+            return retired
 
     # ------------------------------------------------------------------ #
     # lifecycle + observability
@@ -539,8 +546,9 @@ class StandbyCache:
     a standby (a previously displaced serving pipeline when one is
     cached — its fit-mode plan is already compiled, so the refit only
     swaps fresh primitives into existing cells — or a cold clone
-    otherwise), and after the swap the displaced pipeline is released
-    back as the next warm standby for any lane running the same
+    otherwise), and once the displaced pipeline serves no lane (a shared
+    group's base is displaced only when its last lane refits) it is
+    released back as the next warm standby for any lane running the same
     template/λ. Capacity-bounded; eviction just drops the pipeline.
     """
 
@@ -733,8 +741,10 @@ class StreamScheduler:
             lane.refit_in_flight = False
             return
         previous = lane.runner.adopt_pipeline(standby)
-        self.fleet.regroup(lane, standby)
-        self.standby.release(previous)
+        # The displaced pipeline becomes a standby only once no lane of
+        # its (shared) group serves on it any more.
+        if self.fleet.regroup(lane, standby):
+            self.standby.release(previous)
         lane.last_refit = self._clock()
         self.refits_by_tier[tier] = self.refits_by_tier.get(tier, 0) + 1
         lane.refit_in_flight = False

@@ -199,6 +199,17 @@ class Primitive:
             for out in self.produce_output
         }
 
+    def _produce_one(self, **kwargs):
+        """Run :meth:`produce_batch` on a batch of one signal.
+
+        Primitives whose batch kernel is their only implementation define
+        :meth:`produce` through this, so the per-signal and batch planes
+        execute the same code.
+        """
+        batch = self.produce_batch(
+            **{arg: [value] for arg, value in kwargs.items()})
+        return {out: values[0] for out, values in batch.items()}
+
     def produce_batch_fused(self, **kwargs):
         """Produce outputs for many signals in one *fused* call (opt-in).
 

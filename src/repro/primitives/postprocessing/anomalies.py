@@ -41,40 +41,57 @@ def _find_sequences(above: np.ndarray) -> List[Tuple[int, int]]:
     return sequences
 
 
-def _select_epsilon(errors: np.ndarray, z_range: Tuple[float, float]) -> float:
-    """Select the error threshold that best separates anomalous points.
+def _select_epsilons(windows: np.ndarray,
+                     z_range: Tuple[float, float]) -> List[float]:
+    """Select the error threshold of every row of ``windows``.
 
     For each candidate ``z`` the threshold ``mean + z * std`` is scored by
     how much removing above-threshold points reduces the mean and standard
     deviation, penalized by the number of anomalous points and sequences it
     creates (Hundman et al., eq. 4).
+
+    ``windows`` stacks equally long error windows, one per row. Every
+    row's mean and std, and its above-threshold counts for all candidate
+    ``z``, come from one vectorized call each (row reductions run exactly
+    as on the row alone; a NaN threshold counts nothing, as ``>`` does).
+    The above-threshold sets of a row are nested, so equal counts mean
+    equal sets and equal scores: each distinct set is scored once, at its
+    first ``z``, which is the one the strict ``>`` keeps.
     """
-    mean = float(np.mean(errors))
-    std = float(np.std(errors))
-    if std == 0.0:
-        return mean
-
-    best_epsilon = mean + float(z_range[1]) * std
-    best_score = -np.inf
-
-    for z in np.arange(z_range[0], z_range[1] + 0.5, 0.5):
-        epsilon = mean + z * std
-        above = errors > epsilon
-        n_above = int(np.sum(above))
-        if n_above == 0:
+    means = np.mean(windows, axis=1)
+    stds = np.std(windows, axis=1)
+    z = np.arange(z_range[0], z_range[1] + 0.5, 0.5)
+    epsilons = means[:, np.newaxis] + z * stds[:, np.newaxis]
+    counts = np.count_nonzero(
+        windows[:, :, np.newaxis] > epsilons[:, np.newaxis], axis=1)
+    selected = []
+    for errors, mean, std, candidates, above_counts in zip(
+            windows, means.tolist(), stds.tolist(), epsilons,
+            counts.tolist()):
+        if std == 0.0:
+            selected.append(mean)
             continue
-        below = errors[~above]
-        if len(below) == 0:
-            continue
-        delta_mean = mean - float(np.mean(below))
-        delta_std = std - float(np.std(below))
-        n_sequences = len(find_sequences_mask(above))
-        score = (delta_mean / mean + delta_std / std) / (n_above + n_sequences ** 2)
-        if score > best_score:
-            best_score = score
-            best_epsilon = epsilon
-
-    return best_epsilon
+        best_epsilon = mean + float(z_range[1]) * std
+        best_score = -np.inf
+        scored = set()
+        for epsilon, n_above in zip(candidates, above_counts):
+            if n_above in scored or n_above in (0, len(errors)):
+                continue
+            scored.add(n_above)
+            above = errors > epsilon
+            below = errors[~above]
+            delta_mean = mean - float(np.mean(below))
+            delta_std = std - float(np.std(below))
+            # Contiguous above-threshold runs: count their first points.
+            n_sequences = int(above[0]) + int(np.count_nonzero(
+                above[1:] > above[:-1]))
+            score = ((delta_mean / mean + delta_std / std)
+                     / (n_above + n_sequences ** 2))
+            if score > best_score:
+                best_score = score
+                best_epsilon = epsilon
+        selected.append(best_epsilon)
+    return selected
 
 
 def _prune_anomalies(errors: np.ndarray, sequences: List[Tuple[int, int]],
@@ -161,18 +178,20 @@ class FindAnomalies(Primitive):
             flagged = errors > epsilon
             thresholds[:] = epsilon
         else:
-            for start in range(0, max(1, length - window_size + 1), window_step):
-                end = min(start + window_size, length)
-                window_errors = errors[start:end]
-                epsilon = _select_epsilon(
-                    window_errors,
-                    (float(self.lower_z_range), float(self.upper_z_range)),
-                )
-                above = window_errors > epsilon
-                flagged[start:end] |= above
-                thresholds[start:end] = np.minimum(thresholds[start:end], epsilon)
-                if end == length:
-                    break
+            # Every window is full length (a single short one when the
+            # sequence is shorter than a window); stacked, they share one
+            # threshold selection.
+            starts = range(0, max(1, length - window_size + 1), window_step)
+            width = min(window_size, length)
+            windows = errors[np.add.outer(starts, np.arange(width))]
+            epsilons = _select_epsilons(
+                windows, (float(self.lower_z_range), float(self.upper_z_range)))
+            for start, window_errors, epsilon in zip(starts, windows,
+                                                     epsilons):
+                end = start + width
+                flagged[start:end] |= window_errors > epsilon
+                thresholds[start:end] = np.minimum(thresholds[start:end],
+                                                   epsilon)
 
         sequences = find_sequences_mask(flagged)
         sequences = _prune_anomalies(errors, sequences, float(self.min_percent))

@@ -22,14 +22,7 @@ __all__ = [
 def smooth_errors(errors: np.ndarray, smoothing_window: int) -> np.ndarray:
     """Smooth a 1D error array with an exponentially-weighted moving average."""
     errors = np.asarray(errors, dtype=float)
-    if smoothing_window <= 1 or len(errors) == 0:
-        return errors.copy()
-    alpha = 2.0 / (smoothing_window + 1.0)
-    smoothed = np.empty_like(errors)
-    smoothed[0] = errors[0]
-    for i in range(1, len(errors)):
-        smoothed[i] = alpha * errors[i] + (1.0 - alpha) * smoothed[i - 1]
-    return smoothed
+    return batched_ewma(errors[np.newaxis], smoothing_window)[0]
 
 
 @register_primitive
@@ -111,69 +104,14 @@ class ReconstructionErrors(Primitive):
     fuse_category = "elementwise"
 
     def produce(self, y, y_hat, index):
-        y = np.asarray(y, dtype=float)
-        y_hat = np.asarray(y_hat, dtype=float)
-        index = np.asarray(index)
-        if y.shape != y_hat.shape:
-            y_hat = y_hat.reshape(y.shape)
-        if y.ndim == 2:
-            y = y[..., np.newaxis]
-            y_hat = y_hat[..., np.newaxis]
-        if y.ndim != 3:
-            raise PrimitiveError("reconstruction_errors expects windowed inputs")
-        if len(index) != len(y):
-            raise PrimitiveError("index must have one entry per window")
-
-        n_windows, window_size, _ = y.shape
-        step = int(self.step_size)
-        length = (n_windows - 1) * step + window_size
-        abs_error = np.abs(y[..., 0] - y_hat[..., 0])
-
-        collected = [[] for _ in range(length)]
-        for w in range(n_windows):
-            offset = w * step
-            for t in range(window_size):
-                collected[offset + t].append(abs_error[w, t])
-
-        if self.aggregation == "mean":
-            aggregate = np.mean
-        else:
-            aggregate = np.median
-        errors = np.array([aggregate(values) if values else 0.0 for values in collected])
-
-        if self.smooth:
-            errors = smooth_errors(errors, int(self.smoothing_window))
-
-        return {"errors": errors, "index": self._point_index(index, length, step)}
-
-    def _point_index(self, index: np.ndarray, length: int,
-                     step: int) -> np.ndarray:
-        """Timestamp of every reconstructed point.
-
-        Window starts are spaced by ``step`` samples; the sampling interval
-        is inferred from the window index. Shared by :meth:`produce` and
-        :meth:`produce_batch`.
-        """
-        if len(index) > 1:
-            interval = (index[1] - index[0]) / step
-        else:
-            interval = 1
-        return (index[0] + np.arange(length) * interval).astype(np.int64)
+        return self._produce_one(y=y, y_hat=y_hat, index=index)
 
     def produce_batch(self, y, y_hat, index):
-        """Aggregate reconstruction errors with one vectorized scatter.
+        """Score a batch; a single signal is a batch of one.
 
-        Instead of collecting per-position Python lists, every window
-        error lands in a NaN-padded ``(n_signals, length, window)`` matrix
-        (position ``w*step + t`` holds window ``w``'s error for offset
-        ``t``) and a single ``nanmedian`` along the window axis reproduces
-        the per-position median exactly — medians are order-invariant.
-        Mean aggregation (summation order would differ) and NaN-carrying
-        errors (``nanmedian`` would drop what ``median`` propagates) fall
-        back to the per-signal loop.
+        Signals with equally shaped windows are stacked and aggregated
+        together by :meth:`_aggregate`, the primitive's only kernel.
         """
-        if self.aggregation == "mean":
-            return super().produce_batch(y=y, y_hat=y_hat, index=index)
         normalized = []
         for y_i, y_hat_i, index_i in zip(y, y_hat, index):
             y_i = np.asarray(y_i, dtype=float)
@@ -196,33 +134,59 @@ class ReconstructionErrors(Primitive):
         pairs = [np.stack((entry[0][..., 0], entry[1][..., 0]))
                  for entry in normalized]
         for indices, stacked in shape_groups(pairs):
-            abs_error = np.abs(stacked[:, 0] - stacked[:, 1])
-            if np.isnan(abs_error).any():
-                partial = super().produce_batch(
-                    y=[y[i] for i in indices],
-                    y_hat=[y_hat[i] for i in indices],
-                    index=[index[i] for i in indices])
-                for j, i in enumerate(indices):
-                    out["errors"][i] = partial["errors"][j]
-                    out["index"][i] = partial["index"][j]
-                continue
-            n_windows, window_size = abs_error.shape[1:]
-            length = (n_windows - 1) * step + window_size
-            windows = np.arange(n_windows)[:, np.newaxis]
-            offsets = np.arange(window_size)[np.newaxis, :]
-            collected = np.full((len(indices), length, window_size), np.nan)
-            collected[:, windows * step + offsets, offsets] = abs_error
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", category=RuntimeWarning)
-                errors = np.nanmedian(collected, axis=2)
-            errors[np.all(np.isnan(collected), axis=2)] = 0.0
+            errors = self._aggregate(np.abs(stacked[:, 0] - stacked[:, 1]),
+                                     step)
             if self.smooth:
                 errors = batched_ewma(errors, int(self.smoothing_window))
             for j, i in enumerate(indices):
                 out["errors"][i] = errors[j]
                 out["index"][i] = self._point_index(
-                    normalized[i][2], length, step)
+                    normalized[i][2], errors.shape[1], step)
         return out
+
+    def _aggregate(self, abs_error: np.ndarray, step: int) -> np.ndarray:
+        """Per-position aggregate of ``(n_signals, n_windows, window)`` errors.
+
+        Position ``w * step + t`` collects window ``w``'s error at offset
+        ``t``. A stable sort of the positions lists every position's errors
+        contiguously, in window order; positions covered by the same number
+        of windows are gathered into one ``(n_signals, positions, count)``
+        stack and aggregated in a single call along the count axis —
+        exactly the per-position ``np.median`` (or ``np.mean``) over the
+        same values in the same order, NaN propagation included.
+        Uncovered positions (``step > window``) read 0.
+        """
+        n_signals, n_windows, window_size = abs_error.shape
+        length = (n_windows - 1) * step + window_size
+        positions = (np.arange(n_windows)[:, np.newaxis] * step
+                     + np.arange(window_size)).ravel()
+        flat = abs_error.reshape(n_signals, -1)
+        order = np.argsort(positions, kind="stable")
+        coverage = np.bincount(positions, minlength=length)
+        first = np.cumsum(coverage) - coverage
+        aggregate = np.mean if self.aggregation == "mean" else np.median
+        errors = np.zeros((n_signals, length))
+        for count in np.unique(coverage[coverage > 0]):
+            covered = np.flatnonzero(coverage == count)
+            columns = order[first[covered, np.newaxis] + np.arange(count)]
+            # np.take lays the stack out C-contiguously: every reduction
+            # runs over one contiguous row, like the 1D per-position call.
+            errors[:, covered] = aggregate(np.take(flat, columns, axis=1),
+                                           axis=2)
+        return errors
+
+    def _point_index(self, index: np.ndarray, length: int,
+                     step: int) -> np.ndarray:
+        """Timestamp of every reconstructed point.
+
+        Window starts are spaced by ``step`` samples; the sampling interval
+        is inferred from the window index.
+        """
+        if len(index) > 1:
+            interval = (index[1] - index[0]) / step
+        else:
+            interval = 1
+        return (index[0] + np.arange(length) * interval).astype(np.int64)
 
 
 @register_primitive

@@ -41,55 +41,14 @@ class TimeSegmentsAggregate(Primitive):
     }
 
     def produce(self, data):
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 2 or data.shape[1] < 2:
-            raise PrimitiveError(
-                "time_segments_aggregate expects a 2D (timestamp, values...) array"
-            )
-        if self.method not in self._METHODS:
-            raise PrimitiveError(
-                f"Unknown aggregation method {self.method!r}; "
-                f"choose from {sorted(self._METHODS)}"
-            )
-
-        timestamps = data[:, 0]
-        values = data[:, 1:]
-        order = np.argsort(timestamps)
-        timestamps = timestamps[order]
-        values = values[order]
-
-        interval = self.interval
-        if interval is None:
-            diffs = np.diff(timestamps)
-            diffs = diffs[diffs > 0]
-            interval = float(np.median(diffs)) if len(diffs) else 1.0
-        interval = float(interval)
-        if interval <= 0:
-            raise PrimitiveError("interval must be positive")
-
-        start = timestamps[0]
-        end = timestamps[-1]
-        n_segments = int(np.floor((end - start) / interval)) + 1
-        aggregate = self._METHODS[self.method]
-
-        index = start + interval * np.arange(n_segments)
-        aggregated = np.full((n_segments, values.shape[1]), np.nan)
-        segment_ids = np.floor((timestamps - start) / interval).astype(int)
-        segment_ids = np.clip(segment_ids, 0, n_segments - 1)
-        for segment in np.unique(segment_ids):
-            mask = segment_ids == segment
-            aggregated[segment] = aggregate(values[mask], axis=0)
-
-        return {"X": aggregated, "index": index.astype(np.int64)}
+        return self._produce_one(data=data)
 
     def produce_batch(self, data):
-        """Aggregate a batch, sharing segment structure across signals.
+        """Aggregate a batch; a single signal is a batch of one.
 
-        Signals with identical timestamp grids share one segment layout —
-        sort order, interval inference, segment ids and per-segment masks
-        are computed once — and each segment is aggregated for the whole
-        group in one reduction along the sample axis, which NumPy applies
-        per signal exactly as the per-signal call would.
+        Signals with identical timestamp grids share one segment layout
+        and are aggregated together by :meth:`_aggregate`, the primitive's
+        only kernel.
         """
         if self.method not in self._METHODS:
             raise PrimitiveError(
@@ -108,36 +67,51 @@ class TimeSegmentsAggregate(Primitive):
         size = len(arrays)
         out = {"X": [None] * size, "index": [None] * size}
         keys = [array[:, 0].tobytes() for array in arrays]
-        aggregate = self._METHODS[self.method]
         for indices, stacked in shape_groups(arrays, keys=keys):
-            timestamps = stacked[0, :, 0]
-            order = np.argsort(timestamps)
-            timestamps = timestamps[order]
-            values = stacked[:, order, 1:]
-
-            interval = self.interval
-            if interval is None:
-                diffs = np.diff(timestamps)
-                diffs = diffs[diffs > 0]
-                interval = float(np.median(diffs)) if len(diffs) else 1.0
-            interval = float(interval)
-            if interval <= 0:
-                raise PrimitiveError("interval must be positive")
-
-            start = timestamps[0]
-            end = timestamps[-1]
-            n_segments = int(np.floor((end - start) / interval)) + 1
-            index = start + interval * np.arange(n_segments)
-            aggregated = np.full(
-                (len(indices), n_segments, values.shape[2]), np.nan)
-            segment_ids = np.floor((timestamps - start) / interval).astype(int)
-            segment_ids = np.clip(segment_ids, 0, n_segments - 1)
-            for segment in np.unique(segment_ids):
-                mask = segment_ids == segment
-                aggregated[:, segment] = aggregate(values[:, mask], axis=1)
-
-            index = index.astype(np.int64)
+            aggregated, index = self._aggregate(stacked[0, :, 0],
+                                                stacked[:, :, 1:])
             for j, i in enumerate(indices):
                 out["X"][i] = aggregated[j]
                 out["index"][i] = index
         return out
+
+    def _aggregate(self, timestamps, values):
+        """Resample ``values`` ``(n_signals, rows, m)`` on shared timestamps.
+
+        In time order, every segment's samples are consecutive rows, so
+        ``bincount`` of the segment ids gives each segment's sample count
+        and first row. Segments holding the same number of samples are
+        gathered into one ``(n_signals, segments, count, m)`` stack and
+        reduced in a single call along the count axis, which applies
+        ``method`` to every segment's samples in their sorted order, exactly
+        as one call per segment would. Empty segments stay NaN.
+        """
+        order = np.argsort(timestamps)
+        timestamps = timestamps[order]
+
+        interval = self.interval
+        if interval is None:
+            diffs = np.diff(timestamps)
+            diffs = diffs[diffs > 0]
+            interval = float(np.median(diffs)) if len(diffs) else 1.0
+        interval = float(interval)
+        if interval <= 0:
+            raise PrimitiveError("interval must be positive")
+
+        start = timestamps[0]
+        n_segments = int(np.floor((timestamps[-1] - start) / interval)) + 1
+        segment_ids = np.floor((timestamps - start) / interval).astype(int)
+        counts = np.bincount(segment_ids, minlength=n_segments)
+        first_rows = np.cumsum(counts) - counts
+        aggregate = self._METHODS[self.method]
+        aggregated = np.full((len(values), n_segments, values.shape[2]),
+                             np.nan)
+        for count in np.unique(counts[counts > 0]):
+            segments = np.flatnonzero(counts == count)
+            rows = order[first_rows[segments, np.newaxis] + np.arange(count)]
+            # np.take lays the stack out C-contiguously, so each reduction
+            # walks its (count, m) block as the per-segment call would.
+            aggregated[:, segments] = aggregate(
+                np.take(values, rows, axis=1), axis=2)
+        index = start + interval * np.arange(n_segments)
+        return aggregated, index.astype(np.int64)

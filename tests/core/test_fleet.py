@@ -462,6 +462,47 @@ class TestStreamScheduler:
         assert standby["hits"] == 3
         assert lane.runner.state()["retrains"] == 4
 
+    def test_standby_never_hands_out_a_serving_base(self, workload,
+                                                    monkeypatch):
+        """A shared group's base stays out of the cache while it serves."""
+        train, replays = workload
+        sintel = Sintel("azure")
+        sintel.fit(train)
+        scheduler, clock = self._scheduler(sla_deadline=float("inf"))
+        drifting, steady = [
+            scheduler.add_stream(sintel.pipeline, window_size=WINDOW,
+                                 warmup=WARMUP, drift_detector=None)
+            for _ in range(2)]
+        for lane, replay in zip((drifting, steady), replays):
+            for batch in _batches(replay)[:3]:
+                scheduler.ingest(lane.lane_id, batch)
+        scheduler.run_until_idle()
+
+        acquire = scheduler.standby.acquire
+        acquired = []
+
+        def checked_acquire(pipeline):
+            standby = acquire(pipeline)
+            serving = [lane.group.base for lane in scheduler.fleet.lanes()]
+            assert all(standby is not base for base in serving)
+            acquired.append(standby)
+            return standby
+
+        monkeypatch.setattr(scheduler.standby, "acquire", checked_acquire)
+        for now in (1.0, 2.0):
+            drifting.runner._drift_pending = True
+            clock["now"] = now
+            scheduler.run_round()
+        assert len(acquired) == 2
+        assert drifting.runner.state()["retrains"] == 2
+        assert steady.group.base is sintel.pipeline
+        assert steady.runner.pipeline is sintel.pipeline
+
+        # The steady lane keeps detecting on the untouched shared base.
+        scheduler.ingest(steady.lane_id, _batches(replays[1])[3])
+        scheduler.run_round()
+        assert steady.error is None
+
     def test_refit_failure_surfaces_without_breaking_serving(
             self, workload, monkeypatch):
         train, replays = workload
